@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import roundtrip
+from repro.api import roundtrip
 from repro.experiments.common import ExperimentConfig
 from repro.synth import generate_web_trace
 from repro.trace.trace import Trace

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.archive import ArchiveReader, build_archive
+from repro.archive import ArchiveReader, ArchiveWriter
 from repro.query import (
     DestinationPrefix,
     MatchAll,
@@ -39,9 +39,11 @@ def archive_path(tmp_path_factory):
     trace = generate_web_trace(
         duration=BENCH_DURATION, flow_rate=BENCH_RATE, seed=BENCH_SEED
     )
-    entries = build_archive(
-        path, trace.packets, segment_span=SEGMENT_SPAN, segment_packets=10**9
-    )
+    with ArchiveWriter.create(
+        path, segment_span=SEGMENT_SPAN, segment_packets=10**9
+    ) as writer:
+        writer.feed(trace.packets)
+        entries = writer.close()
     assert len(entries) >= 8, "benchmark needs a multi-segment archive"
     return path
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import importlib
 import logging
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 # Library-standard logging posture: the package logger stays silent
 # unless the application (or the CLI's -v/-q flags) attaches a handler.

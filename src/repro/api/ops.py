@@ -122,8 +122,7 @@ def roundtrip(
 ) -> tuple[Trace, CompressionReport]:
     """Compress then decompress an in-memory trace; returns (trace', report).
 
-    The canonical home of what :func:`repro.core.roundtrip` used to be:
-    the output trace is *statistically* similar to the input (the
+    The output trace is *statistically* similar to the input (the
     paper's claim, validated in section 6), not byte-identical.
     """
     options = options or Options()

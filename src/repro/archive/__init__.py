@@ -30,7 +30,6 @@ from repro.archive.writer import (
     DEFAULT_SEGMENT_PACKETS,
     DEFAULT_SEGMENT_SPAN,
     ArchiveWriter,
-    build_archive,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "DEFAULT_SEGMENT_PACKETS",
     "DEFAULT_SEGMENT_SPAN",
     "ArchiveWriter",
-    "build_archive",
 ]

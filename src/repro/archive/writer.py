@@ -43,7 +43,7 @@ from repro.archive.format import (
 from repro.core.codec import validate_backend_request, write_container
 from repro.core.compressor import CompressorConfig
 from repro.core.datasets import CompressedTrace
-from repro.core.errors import ArchiveError, warn_deprecated
+from repro.core.errors import ArchiveError
 from repro.core.streaming import StreamingCompressor
 from repro.net.columns import PacketColumns, tolist
 from repro.net.packet import PacketRecord
@@ -703,35 +703,3 @@ def _read_tail(stream: BinaryIO) -> tuple[float, list[SegmentIndexEntry], int]:
     epoch, entries, footer_offset, _version = parse_archive_tail(stream)
     return epoch, entries, footer_offset
 
-
-def build_archive(
-    path: str | Path,
-    packets: Iterable[PacketRecord],
-    *,
-    epoch: float | None = None,
-    segment_packets: int = DEFAULT_SEGMENT_PACKETS,
-    segment_span: float | None = DEFAULT_SEGMENT_SPAN,
-    config: CompressorConfig | None = None,
-    name: str | None = None,
-    backend: str | None = None,
-    level: int | None = None,
-) -> list[SegmentIndexEntry]:
-    """Compress ``packets`` into a new archive at ``path`` in one call.
-
-    .. deprecated:: 1.1  Use :func:`repro.api.create_archive` (or a
-       ``repro.open(source).compress("out.fctca")`` session); this shim
-       produces byte-identical archives and is kept for one release.
-    """
-    warn_deprecated("build_archive", "repro.api.create_archive")
-    with ArchiveWriter.create(
-        path,
-        epoch=epoch,
-        segment_packets=segment_packets,
-        segment_span=segment_span,
-        config=config,
-        name=name,
-        backend=backend,
-        level=level,
-    ) as writer:
-        writer.feed(packets)
-        return writer.close()

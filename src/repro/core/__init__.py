@@ -79,11 +79,7 @@ _LAZY_EXPORTS = {
     ),
     "repro.core.pipeline": (
         "CompressionReport",
-        "compress_stream_to_bytes",
-        "compress_to_bytes",
-        "decompress_from_bytes",
         "report_for_stream",
-        "roundtrip",
     ),
     "repro.core.generator": ("TraceModel",),
     "repro.core.errors": ("ArchiveError", "CodecError", "CompressionError"),

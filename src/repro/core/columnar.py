@@ -396,7 +396,11 @@ class ColumnarFlowCompressor:
         else:
             stats.long_flows += 1
             times = state[_TIMES]
-            gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+            # Clamped at zero exactly like FlowNode.inter_packet_gaps.
+            gaps = [
+                later - earlier if later > earlier else 0.0
+                for earlier, later in zip(times, times[1:])
+            ]
             gaps.append(0.0)
             index = len(self._output.long_templates)
             self._output.long_templates.append(

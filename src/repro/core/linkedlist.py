@@ -74,9 +74,17 @@ class FlowNode:
         return tuple(self.values)
 
     def inter_packet_gaps(self) -> list[float]:
-        """Gaps between consecutive packets, with a trailing 0 (n entries)."""
+        """Gaps between consecutive packets, with a trailing 0 (n entries).
+
+        A packet that arrives older than its predecessor (interleaved
+        live sources) gets a zero gap, as the time-seq timestamp and RTT
+        clamp at zero; a long-flow template never holds a negative gap.
+        """
         times = [entry.timestamp for entry in self.entries]
-        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        gaps = [
+            later - earlier if later > earlier else 0.0
+            for earlier, later in zip(times, times[1:])
+        ]
         gaps.append(0.0)
         return gaps
 

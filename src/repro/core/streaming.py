@@ -2,9 +2,8 @@
 
 The paper's algorithm is online — packets stream in, flows close on
 FIN/RST or idle timeout, templates grow incrementally — but the original
-entry points (:func:`~repro.core.compressor.compress_trace`,
-:func:`~repro.core.pipeline.compress_to_bytes`) materialize the whole
-trace first.  This module keeps the algorithm and removes the
+entry point (:func:`~repro.core.compressor.compress_trace`) materializes
+the whole trace first.  This module keeps the algorithm and removes the
 materialization:
 
 :class:`StreamingCompressor`

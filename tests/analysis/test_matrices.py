@@ -1,8 +1,9 @@
-"""The traffic-matrix analytics subsystem: matrices, engines, reports."""
+"""The traffic-matrix analytics subsystem: matrices, statistics, reports."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +14,9 @@ from repro.analysis.matrices import (
     StreamingWindowAggregator,
     TrafficMatrix,
     WindowStats,
-    _stats_python,
-    _stats_scipy,
     matrix_report_for_archive,
     matrix_report_for_compressed,
     publish_window_gauges,
-    scipy_or_none,
     window_stats_for_compressed,
 )
 from repro.archive.reader import ArchiveReader
@@ -27,6 +25,18 @@ from repro.core.flowmeta import FlowRecord, flow_records
 from repro.obs import MetricsRegistry, render_prometheus
 from repro.query.engine import QueryStats
 from repro.synth import generate_web_trace
+from repro.synth.scenarios import get_scenario
+
+# WindowStats.to_dict() documents recorded when a scipy CSR engine still
+# ran beside the dict walk and both agreed on every case; keyed
+# "<case> <top_k>,<scan_fanout>".
+GOLDEN = json.loads(
+    (
+        Path(__file__).resolve().parent.parent
+        / "fixtures"
+        / "window_stats_golden.json"
+    ).read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +102,20 @@ class TestTrafficMatrix:
         assert 10 not in sources and 20 not in sources
 
 
+def _whole_trace_matrix(compressed) -> TrafficMatrix:
+    matrix = TrafficMatrix(0, 0.0, 100.0)
+    for record in flow_records(compressed):
+        matrix.add_flow(record)
+    return matrix
+
+
+def _assert_golden(matrix, case, top_k, scan):
+    stats = matrix.stats(top_k=top_k, scan_fanout=scan)
+    assert stats.to_dict() == GOLDEN[f"{case} {top_k},{scan}"]
+
+
 class TestStatsEngines:
-    """The scipy/CSR and pure-python engines must agree exactly."""
+    """The statistics, pinned to golden values and hand-derived rules."""
 
     def _dense_matrix(self):
         matrix = TrafficMatrix(2, 10.0, 20.0)
@@ -106,25 +128,25 @@ class TestStatsEngines:
         matrix.add_flow(_record(13.0, src=5, dst=4))
         return matrix
 
-    def test_engines_identical_on_handmade_matrix(self):
-        if scipy_or_none() is None:
-            pytest.skip("scipy unavailable or gated off")
-        matrix = self._dense_matrix()
-        assert _stats_scipy(matrix, 10, 16) == _stats_python(matrix, 10, 16)
+    def test_handmade_matrix_matches_golden(self):
+        _assert_golden(self._dense_matrix(), "handmade", 10, 16)
 
-    def test_engines_identical_on_real_traffic(self, compressed):
-        if scipy_or_none() is None:
-            pytest.skip("scipy unavailable or gated off")
-        matrix = TrafficMatrix(0, 0.0, 100.0)
-        for record in flow_records(compressed):
-            matrix.add_flow(record)
+    def test_real_traffic_matches_golden(self, compressed):
+        matrix = _whole_trace_matrix(compressed)
         for top_k, scan in ((10, 16), (3, 4), (100, 1)):
-            assert _stats_scipy(matrix, top_k, scan) == _stats_python(
-                matrix, top_k, scan
-            )
+            _assert_golden(matrix, "web", top_k, scan)
+
+    def test_dense_window_matches_golden(self):
+        # Wide enough (>= 2,048 links) that the removed CSR engine, not
+        # the dict walk, used to serve it.
+        trace = get_scenario("mixed-protocol").build(10.0, 200.0, 7)
+        matrix = _whole_trace_matrix(compress_trace(trace))
+        assert matrix.links >= 2048
+        for top_k, scan in ((10, 16), (25, 2)):
+            _assert_golden(matrix, "dense", top_k, scan)
 
     def test_scan_candidates_cross_threshold_only(self):
-        stats = _stats_python(self._dense_matrix(), 10, 16)
+        stats = self._dense_matrix().stats(top_k=10, scan_fanout=16)
         assert [c.src for c in stats.scan_candidates] == [1]
         assert stats.scan_candidates[0].fanout == 20
         assert stats.max_fanout == 20
@@ -135,7 +157,7 @@ class TestStatsEngines:
         matrix.add(3, 7, 5, 50)
         matrix.add(3, 2, 5, 50)
         matrix.add(1, 1, 9, 10)
-        stats = _stats_python(matrix, 10, 100)
+        stats = matrix.stats(top_k=10, scan_fanout=100)
         ranked = [(link.src, link.dst) for link in stats.top_links_packets]
         assert ranked == [(1, 1), (3, 2), (3, 7), (9, 1)]
 
@@ -226,6 +248,14 @@ class TestMatrixReport:
         document = json.loads(report.to_json())
         assert document["schema"] == "repro.analysis/matrix-report/v1"
         assert MatrixReport.from_dict(document) == report
+
+    def test_engine_key_stays_parseable(self, archive_path):
+        with ArchiveReader(archive_path) as reader:
+            report = matrix_report_for_archive(reader, window=3.0)
+        assert report.engine == "python"
+        # Reports written while a scipy engine existed still load.
+        document = dict(report.to_dict(), engine="scipy")
+        assert MatrixReport.from_dict(document).windows == report.windows
 
     def test_from_dict_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="schema"):

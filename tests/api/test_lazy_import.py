@@ -3,9 +3,13 @@
 The CLI parses ``--help`` and bad flags without touching the engine,
 and ``import repro`` (the first line of every user script) must not
 drag in heavy submodules.  Run in a subprocess so this test cannot be
-poisoned by whatever the rest of the suite already imported.
+poisoned by whatever the rest of the suite already imported, and
+measure only what the statement adds over a bare interpreter: site
+startup hooks (``.pth`` files) may import stdlib modules such as
+``bz2``/``lzma`` before any user code runs.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -24,7 +28,7 @@ HEAVY_MODULES = [
 ]
 
 
-def _loaded_after(statement: str) -> set[str]:
+def _modules_after(statement: str) -> set[str]:
     code = (
         "import json, sys\n"
         f"{statement}\n"
@@ -37,6 +41,16 @@ def _loaded_after(statement: str) -> set[str]:
         check=True,
     )
     return set(json.loads(out.stdout))
+
+
+@functools.lru_cache(maxsize=1)
+def _bare_interpreter_modules() -> frozenset[str]:
+    return frozenset(_modules_after("pass"))
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """Modules ``statement`` loads beyond what a bare interpreter has."""
+    return _modules_after(statement) - _bare_interpreter_modules()
 
 
 class TestImportRepro:

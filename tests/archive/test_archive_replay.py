@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.archive import ArchiveReader, build_archive, segment_runs
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader, segment_runs
 from repro.core.decompressor import decompress_trace, merge_sort_key
 from repro.core.replay import ReplayStats
 from repro.trace.tsh import write_tsh_bytes
@@ -15,7 +16,11 @@ def archive_path(tmp_path_factory):
     """A 10-segment archive of 50 staggered flows (5 s apart, 30 s span)."""
     path = tmp_path_factory.mktemp("replay") / "flows.fctca"
     packets = make_timed_flows(50, spacing=5.0)
-    build_archive(path, iter(packets), segment_span=30.0, segment_packets=10_000)
+    create_archive(
+        path,
+        iter(packets),
+        options=Options.make(segment_span=30.0, segment_packets=10_000),
+    )
     return path
 
 

@@ -121,6 +121,20 @@ def test_rebase_on_out_of_order_timestamps():
         assert _columnar(packets, chunk=chunk) == expected
 
 
+def test_out_of_order_packet_inside_a_long_flow():
+    """An older packet mid-flow (interleaved live sources) gets a zero gap."""
+    packets = _flow(0.0, 4000, 60)
+    packets[30], packets[31] = packets[31], packets[30]
+    expected = _scalar(packets)
+    for chunk in (1, 7, len(packets)):
+        assert _columnar(packets, chunk=chunk) == expected
+    engine = FlowClusterCompressor(name="t")
+    for packet in packets:
+        engine.add_packet(packet)
+    (template,) = engine.finish().long_templates
+    assert template.gaps[30] == 0.0 < template.gaps[29]
+
+
 def test_explicit_base_time():
     packets = _flow(100.0, 4000, 6)
     assert _columnar(packets, base_time=90.0) == _scalar(packets, base_time=90.0)

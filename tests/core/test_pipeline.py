@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.pipeline import (
-    compress_to_bytes,
-    decompress_from_bytes,
-    report_for,
-    roundtrip,
-)
+from repro.api import roundtrip
+from repro.core.codec import deserialize_compressed, serialize_compressed
+from repro.core.compressor import compress_trace
+from repro.core.decompressor import decompress_trace
+from repro.core.pipeline import report_for
 from repro.trace.trace import Trace
 
 
@@ -49,13 +48,15 @@ class TestRoundtrip:
 
 class TestBytesApi:
     def test_compress_decompress_bytes(self, multi_flow_trace):
-        data, compressed = compress_to_bytes(multi_flow_trace)
+        compressed = compress_trace(multi_flow_trace)
+        data = serialize_compressed(compressed)
         assert isinstance(data, bytes)
         assert compressed.flow_count() == 50
-        decompressed = decompress_from_bytes(data)
+        decompressed = decompress_trace(deserialize_compressed(data))
         assert len(decompressed) == len(multi_flow_trace)
 
     def test_report_for_consistency(self, multi_flow_trace):
-        data, compressed = compress_to_bytes(multi_flow_trace)
+        compressed = compress_trace(multi_flow_trace)
+        data = serialize_compressed(compressed)
         report = report_for(multi_flow_trace, compressed, data)
         assert report.compressed_bytes == len(data)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import os
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -19,6 +18,8 @@ from repro.archive.writer import ArchiveWriter
 from repro.synth import generate_web_trace
 from repro.trace.framing import END_OF_STREAM, frame
 from repro.trace.tsh import read_tsh_bytes
+
+from tests.serve.conftest import connect_unix
 
 SEGMENT_SPAN = 5.0
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -33,19 +34,9 @@ def _workloads():
     return out
 
 
-def _wait_for(path: str, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not os.path.exists(path):
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"{path} never appeared")
-        time.sleep(0.02)
-
-
 def _send(sock_path: str, data: bytes) -> None:
-    _wait_for(sock_path)
-    client = socket.socket(socket.AF_UNIX)
+    client = connect_unix(sock_path, timeout=10.0)
     try:
-        client.connect(sock_path)
         for start in range(0, len(data), 9973):
             client.sendall(frame(data[start : start + 9973]))
         client.sendall(END_OF_STREAM)

@@ -9,7 +9,8 @@ the same promise against the per-segment batch reference.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.archive import ArchiveReader, build_archive
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader
 from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.core.compressor import compress_trace
 from repro.core.decompressor import (
@@ -79,9 +80,10 @@ def test_archive_replay_matches_per_segment_batch(tmp_path_factory, seed, segmen
         tmp_path_factory.mktemp("prop-replay")
         / f"t-{seed}-{segment_span:.2f}.fctca"
     )
-    build_archive(
-        path, iter(trace.packets), segment_span=segment_span,
-        segment_packets=10_000,
+    create_archive(
+        path,
+        iter(trace.packets),
+        options=Options.make(segment_span=segment_span, segment_packets=10_000),
     )
     reference = []
     with ArchiveReader(path) as reader:

@@ -49,7 +49,7 @@ class TestClassifier:
 
     def test_original_vs_decompressed_similarity(self, small_web_trace):
         from repro.analysis.compare import kolmogorov_smirnov
-        from repro.core import roundtrip
+        from repro.api import roundtrip
 
         decompressed, _ = roundtrip(small_web_trace)
         original_accs = ClassifierApp().run(small_web_trace).accesses_per_packet()

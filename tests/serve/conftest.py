@@ -37,6 +37,27 @@ def wait_for_path(path: str, timeout: float = CONNECT_TIMEOUT) -> None:
         time.sleep(0.01)
 
 
+def connect_unix(path: str, timeout: float = CONNECT_TIMEOUT) -> socket.socket:
+    """Connect to a daemon's unix socket once it is listening.
+
+    The socket file appears at ``bind``, a moment before ``listen``; a
+    connect in that gap is refused, so refusals are retried until
+    ``timeout``.
+    """
+    deadline = time.monotonic() + timeout
+    wait_for_path(path, timeout)
+    while True:
+        client = socket.socket(socket.AF_UNIX)
+        try:
+            client.connect(path)
+            return client
+        except ConnectionRefusedError:
+            client.close()
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
 def send_framed(
     sock_path: str,
     data: bytes,
@@ -45,10 +66,8 @@ def send_framed(
     end_of_stream: bool = True,
 ) -> None:
     """Connect to a daemon unix socket and stream ``data`` in odd frames."""
-    wait_for_path(sock_path)
-    client = socket.socket(socket.AF_UNIX)
+    client = connect_unix(sock_path)
     try:
-        client.connect(sock_path)
         for start in range(0, len(data), frame_bytes):
             client.sendall(frame(data[start : start + frame_bytes]))
         if end_of_stream:

@@ -138,8 +138,9 @@ def run_python_examples(doc_name: str) -> list[str]:
 
     One shared working directory (later blocks consume earlier outputs),
     ``PYTHONPATH=src`` so the check works on a bare source tree, and
-    ``-W error::DeprecationWarning`` so a reference example that routes
-    through a 1.1 shim fails the docs job.
+    ``-W error::DeprecationWarning`` so a reference example that
+    triggers a deprecated API (of Python or a dependency) fails the docs
+    job.
     """
     doc_md = REPO / "docs" / doc_name
     blocks = _PY_BLOCK.findall(doc_md.read_text("utf-8"))

@@ -10,8 +10,6 @@ of the actual CLI — no test harness, no in-process shortcuts:
   packet; the decode path synthesizes every one),
 * a time-bounded request must prune segments (``segments_pruned > 0``,
   strictly fewer decoded than total),
-* ``REPRO_NO_SCIPY=1`` must reproduce the scipy run's document exactly
-  (the pure-python statistics engine is not an approximation),
 * ``--anonymize-key`` must mask addresses while preserving structure,
 * ``query --stats`` and ``archive info --windows`` must render their
   tables.
@@ -39,19 +37,18 @@ SEGMENT_SPAN = "3"
 SCHEMA = "repro.analysis/matrix-report/v1"
 
 
-def _env(**extra: str) -> dict:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         f"{SRC}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else SRC
     )
-    env.update(extra)
     return env
 
 
-def _cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def _cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        env=env or _env(),
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=300,
@@ -68,8 +65,8 @@ def _check(proc: subprocess.CompletedProcess, what: str) -> str:
     return proc.stdout
 
 
-def _report(*args: str, env: dict | None = None) -> dict:
-    out = _check(_cli(*args, env=env), " ".join(args))
+def _report(*args: str) -> dict:
+    out = _check(_cli(*args), " ".join(args))
     document = json.loads(out)
     if document.get("schema") != SCHEMA:
         print(f"FAIL: unexpected schema {document.get('schema')}", file=sys.stderr)
@@ -119,21 +116,6 @@ def smoke(workdir: Path) -> None:
         f"ok: bounded range decoded {bounded['segments_decoded']}"
         f"/{bounded['segments_total']} segments"
     )
-
-    # The pure-python engine must reproduce the scipy document exactly.
-    no_scipy = _report(
-        "stats", str(archive), "--window", SEGMENT_SPAN, "--json",
-        env=_env(REPRO_NO_SCIPY="1"),
-    )
-    if no_scipy.pop("engine") != "python":
-        print("FAIL: REPRO_NO_SCIPY did not select the python engine",
-              file=sys.stderr)
-        raise SystemExit(1)
-    # Identical document up to the engine label that records the choice.
-    if no_scipy != {k: v for k, v in by_index.items() if k != "engine"}:
-        print("FAIL: REPRO_NO_SCIPY changed the report", file=sys.stderr)
-        raise SystemExit(1)
-    print("ok: scipy and pure-python engines emit identical documents")
 
     masked = _report(
         "stats", str(archive), "--window", SEGMENT_SPAN, "--json",
